@@ -18,7 +18,8 @@ format of the :mod:`repro.serve` server) and has a deterministic
 content key (:func:`query_key`) covering the query fields, the engine
 selection **and** a transitive source fingerprint of this module — so
 a cached response can never outlive an edit to any code that produced
-it.
+it. The fingerprint is taken once per process (:mod:`repro.fingerprint`):
+a long-lived server sees an edit after it restarts.
 
 Engine and cache selection is *explicit*: :func:`execute` takes
 ``engine=`` (netsim kernel), ``mapping_engine=`` and ``cache=``
@@ -39,10 +40,10 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.engines import resolve_mapping_engine, resolve_netsim_engine
+from repro.fingerprint import module_fingerprint
 
 #: Schema tag/version for every facade response envelope.
 RESPONSE_SCHEMA = "repro-api-response"
@@ -245,28 +246,21 @@ def query_from_dict(payload: Dict[str, Any]) -> Query:
     return cls.from_dict(payload)
 
 
-@lru_cache(maxsize=None)
-def _api_fingerprint() -> str:
-    """Source fingerprint over everything this facade transitively uses."""
-    from repro.fingerprint import source_fingerprint, transitive_modules
-
-    return source_fingerprint(transitive_modules("repro.api"))
-
-
 def query_key(
     query: Query, engine: str = "auto", mapping_engine: str = "auto"
 ) -> str:
     """Deterministic content key for coalescing and response caching.
 
     Two requests share a key iff they would compute the same thing:
-    same query fields, same *resolved* engines, same source tree.
+    same query fields, same *resolved* engines, same source tree (as
+    of first use in this process, see :mod:`repro.fingerprint`).
     """
     raw = json.dumps(
         {
             "query": query.to_dict(),
             "engine": resolve_netsim_engine(engine),
             "mapping_engine": resolve_mapping_engine(mapping_engine),
-            "source": _api_fingerprint(),
+            "source": module_fingerprint("repro.api"),
         },
         sort_keys=True,
     )
@@ -399,6 +393,7 @@ def _execute_sim(
     engine: str,
     on_telemetry: Optional[TelemetryCallback],
 ) -> Dict[str, Any]:
+    from repro.netsim.packet import reset_packet_ids
     from repro.netsim.sim import load_latency_sweep
     from repro.netsim.telemetry import Telemetry
     from repro.netsim.traffic import TRAFFIC_PATTERNS, make_pattern
@@ -411,6 +406,10 @@ def _execute_sim(
     if not query.loads:
         raise QueryError("simulate query needs at least one load")
     factory = _sim_network_factory(query)
+    # Packet ids feed the Clos spine hash: number them from zero so the
+    # result depends on the query alone, not on what this process ran
+    # before (one reset per query, not per load point).
+    reset_packet_ids()
 
     reports: List[Dict[str, Any]] = []
     pending: List[Tuple[float, Telemetry]] = []

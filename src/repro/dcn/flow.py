@@ -26,7 +26,8 @@ shared content-addressed cache root
 (``.repro_cache/dcn/curve-<key>.json``), keyed on the wafer's
 geometry, the probe parameters, *and* the transitive source
 fingerprint of this module — edit the simulator and every curve
-recalibrates, exactly like the experiment result cache.
+recalibrates in the next process, exactly like the experiment result
+cache.
 
 **The flow model.**  For a packet entering a flow node at cycle ``c``
 with ``size`` flits toward exit terminal ``x``:
@@ -53,6 +54,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -61,7 +64,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import paths
-from repro.fingerprint import source_fingerprint, transitive_modules
+from repro.fingerprint import module_fingerprint
 from repro.netsim.network import waferscale_clos_network
 from repro.netsim.partition import Event, calibration_probe
 
@@ -155,7 +158,7 @@ def _curve_cache_key(
         "saturation_load": SATURATION_LOAD,
         "probe_cycles": PROBE_CYCLES,
         "probe_seed": PROBE_SEED,
-        "sources": source_fingerprint(transitive_modules("repro.dcn.flow")),
+        "sources": module_fingerprint("repro.dcn.flow"),
     }
     canonical = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(canonical).hexdigest()[:24]
@@ -232,9 +235,14 @@ def calibrate_wafer(
     )
     if cache:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(curve.to_dict(), sort_keys=True) + "\n")
-        tmp.replace(path)
+        # A temp file of its own per writer: processes calibrating the
+        # same shape at once each publish a whole file, last one wins.
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent), prefix=path.stem, suffix=".tmp"
+        )
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(curve.to_dict(), sort_keys=True) + "\n")
+        os.replace(tmp, path)
     return curve
 
 

@@ -10,7 +10,9 @@ the ``REPRO_CACHE_DIR`` environment variable).
 
 The dependency walk is static (AST import scan, shared with the
 mapping store via :mod:`repro.fingerprint`), so computing a key never
-executes experiment code.
+executes experiment code. The fingerprint is taken once per process, at
+first use, so a warm ``load`` reads one JSON file and no source; a
+long-lived process picks up source edits when it restarts.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from typing import Optional
 
 from repro import paths
 from repro.experiments.base import ExperimentResult
-from repro.fingerprint import (  # noqa: F401 — re-exported; fingerprinting lives below the layer stack now
-    _direct_imports,
-    module_source_path,
-    source_fingerprint,
-    transitive_modules,
-)
+from repro.fingerprint import module_fingerprint
 
 #: Deprecation shim — the resolver lives in :mod:`repro.paths` now.
 CACHE_DIR_ENV = paths.CACHE_DIR_ENV
@@ -57,7 +54,7 @@ def _mode_tag(fast: bool) -> str:
 def cache_key(experiment_id: str, fast: bool, module_name: Optional[str] = None) -> str:
     """Content-addressed key: experiment id + mode + source fingerprint."""
     module_name = module_name or f"repro.experiments.{experiment_id}"
-    fingerprint = source_fingerprint(transitive_modules(module_name))
+    fingerprint = module_fingerprint(module_name)
     raw = f"v{CACHE_FORMAT_VERSION}|{experiment_id}|{_mode_tag(fast)}|{fingerprint}"
     return hashlib.sha256(raw.encode()).hexdigest()[:16]
 

@@ -33,12 +33,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro import paths
-from repro.fingerprint import source_fingerprint, transitive_modules
+from repro.fingerprint import module_fingerprint
 from repro.mapping.exchange import MappingResult
 from repro.mapping.grid import WaferGrid
 from repro.mapping.routing import IOStyle
@@ -126,7 +125,6 @@ def topology_digest(topology: LogicalTopology) -> str:
     return digest.hexdigest()
 
 
-@lru_cache(maxsize=None)
 def mapping_source_fingerprint() -> str:
     """Fingerprint of the mapping layer's own source (kernel + tables).
 
@@ -134,9 +132,7 @@ def mapping_source_fingerprint() -> str:
     tables and this store are covered; any edit to them invalidates
     every persisted mapping.
     """
-    modules = set(transitive_modules("repro.mapping.exchange"))
-    modules.update(transitive_modules("repro.mapping.store"))
-    return source_fingerprint(modules)
+    return module_fingerprint("repro.mapping.exchange", "repro.mapping.store")
 
 
 def entry_key(

@@ -856,6 +856,7 @@ class FastEngine:
         # packet ids are drawn from the same global counter.
         size = injector.packet_size_flits
         total = warmup_cycles + measure_cycles
+        T = self.T
         pre = self._c_pregen(injector, total)
         if pre is not None:
             ev_cycle_a, ev_term, ev_dst, ev_gid = pre
@@ -869,7 +870,6 @@ class FastEngine:
             probability = injector.packet_probability
             destination = injector.pattern.destination
             ids = packet_module._packet_ids
-            T = self.T
             ev_cycle = []
             ev_term = []
             ev_dst = []

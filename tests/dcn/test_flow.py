@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -175,6 +178,39 @@ def test_curve_cache_roundtrip(tmp_path):
     files[0].write_text("{not json")
     again = calibrate_wafer(8, 8, cache=True, cache_root=tmp_path)
     assert again == first
+
+
+def test_concurrent_calibrations_publish_whole_curves(tmp_path, monkeypatch):
+    """Writers of one shape that finish together (two server workers on a
+    fresh cache) must each publish a whole entry and never fail."""
+    from repro.dcn import flow
+
+    writers = 8
+    barrier = threading.Barrier(writers)
+
+    def probe(network, load, cycles, **kwargs):
+        if load == flow.SATURATION_LOAD:
+            barrier.wait(timeout=60)  # every writer reaches the publish at once
+        return {"mean_latency": 10.0 + load, "delivered_flits_per_cycle": 2.0}
+
+    monkeypatch.setattr(flow, "calibration_probe", probe)
+    monkeypatch.setattr(flow, "waferscale_clos_network", lambda *a, **k: None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the writers' file operations
+    try:
+        for round_ in range(5):
+            root = tmp_path / str(round_)
+            with ThreadPoolExecutor(writers) as pool:
+                futures = [
+                    pool.submit(calibrate_wafer, 8, 8, cache=True, cache_root=root)
+                    for _ in range(writers)
+                ]
+            curves = [future.result() for future in futures]
+            assert curves == [curves[0]] * writers
+            (entry,) = (root / "dcn").iterdir()
+            assert ServiceCurve.from_dict(json.loads(entry.read_text())) == curves[0]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_curve_latency_is_clamped_and_congestion_sensitive():

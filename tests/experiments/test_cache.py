@@ -5,15 +5,12 @@ import textwrap
 
 import pytest
 
+from repro import fingerprint
 from repro.experiments import cache as cache_mod
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import (
-    ResultCache,
-    cache_key,
-    source_fingerprint,
-    transitive_modules,
-)
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import run_experiments
+from repro.fingerprint import source_fingerprint, transitive_modules
 
 
 def _toy_result() -> ExperimentResult:
@@ -98,13 +95,20 @@ def test_source_edit_busts_cache_key(tmp_path, monkeypatch):
     cache.store("fig01", fast=True, result=_toy_result())
     assert cache.load("fig01", fast=True) is not None
 
-    original = cache_mod.source_fingerprint
+    # Fingerprints are memoized per process: an edit reaches the key
+    # when the memo is rebuilt, as in a fresh process.
+    original = fingerprint.source_fingerprint
     monkeypatch.setattr(
-        cache_mod,
+        fingerprint,
         "source_fingerprint",
         lambda names: "edited" + original(names),
     )
-    assert cache.load("fig01", fast=True) is None
+    fingerprint.module_fingerprint.cache_clear()
+    try:
+        assert cache.load("fig01", fast=True) is None
+    finally:
+        monkeypatch.undo()
+        fingerprint.module_fingerprint.cache_clear()
 
 
 def test_runner_serves_cached_result_without_recompute(tmp_path, monkeypatch):

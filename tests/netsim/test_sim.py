@@ -177,3 +177,20 @@ def test_generous_drain_leaves_nothing_outstanding():
     sim = Simulator(_small_network(), make_pattern("uniform", 32), 0.1, seed=4)
     stats = sim.run(warmup_cycles=100, measure_cycles=200, drain_cycles=5000)
     assert stats.packets_outstanding == 0
+
+
+def test_radix256_uniform_runs_on_auto_engine():
+    """Routers above the C kernel's 64 ports fall back to the numpy loop
+    after C pregeneration, with the same statistics as numpy itself."""
+    from repro.netsim.config import SimConfig
+    from repro.netsim.packet import reset_packet_ids
+    from repro.netsim.sim import run_sim
+
+    config = SimConfig(warmup_cycles=20, measure_cycles=40, drain_cycles=200, seed=3)
+    results = []
+    for engine in ("auto", "numpy"):
+        reset_packet_ids()
+        network = waferscale_clos_network(1024, 256)
+        results.append(run_sim(network, "uniform", 0.3, config, engine=engine))
+    assert results[0].flits_delivered > 0
+    assert results[0].to_dict() == results[1].to_dict()

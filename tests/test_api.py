@@ -89,6 +89,17 @@ def test_execute_engine_forcing_is_bit_identical():
     assert a["result"]["points"] == b["result"]["points"]
 
 
+def test_execute_simulate_is_independent_of_process_history():
+    """Packet ids feed the Clos spine hash; a repeated query (as a pool
+    worker answering it twice) must not see the first run's ids."""
+    query = api.SimQuery(
+        **{**TINY_SIM, "network": "waferscale", "terminals": 32, "radix": 8}
+    )
+    first = api.execute(query, engine="numpy")
+    second = api.execute(query, engine="numpy")
+    assert first["result"] == second["result"]
+
+
 def test_execute_simulate_streams_telemetry():
     seen = []
     response = api.execute(
