@@ -1,26 +1,32 @@
 """Partitioned-DCN benchmark: N wafer partitions over the warm pool.
 
-Runs one multi-wafer DCN configuration (see :mod:`repro.dcn`) twice on
-identical inputs:
+Runs one multi-wafer DCN configuration (see :mod:`repro.dcn`) three
+times on identical inputs:
 
 1. **serial** — every wafer partition stepped in-process, one after
-   the other per epoch (the monolithic single-process reference);
-2. **pool** — each partition pinned to a warm worker of
+   the other per epoch (the monolithic single-process reference), on
+   the default engine (the compiled kernel where a C toolchain exists);
+2. **scalar serial** — the same, with ``engine="scalar"`` (the object
+   oracle);
+3. **pool** — each partition pinned to a warm worker of
    :mod:`repro.parallel` via affinity keys, epochs exchanged as
    wire-encoded bundles.
 
-Verifies the two runs are **bit-identical** (per-packet latency
+Verifies the three runs are **bit-identical** (per-packet latency
 samples, per-wafer flit counts) and writes ``BENCH_dcn.json`` with the
-wall-clocks and one **gate**:
+wall-clocks and two **gates**:
 
 * ``partition_gate`` — ``pool_speedup >= min(effective_cores,
   n_wafers) / 2``. On a multi-core box partitioning must actually pay;
   on a single effective core the threshold is 0.5, i.e. the barrier +
   wire crossing may at most double the wall-clock.
+* ``engine_gate`` — the serial run is faster than the scalar serial
+  run: cycle-accurate partitions on the default engine must beat the
+  oracle they are held to.
 
-The process exit code enforces the gate (and parity, and that the run
-drained without truncation) — CI fails the ``dcn-smoke`` job on any
-regression.
+The process exit code enforces both gates (and parity, and that the
+run drained without truncation) — CI fails the ``dcn-smoke`` job on
+any regression.
 
 Usage::
 
@@ -34,6 +40,7 @@ fabric).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -75,12 +82,20 @@ def run_bench(
         f"       serial: {serial.wall_seconds:7.2f}s for {serial.epochs} "
         f"epochs, {serial.packets_delivered} packets ({serial.engine})"
     )
+    scalar = run_dcn(
+        dataclasses.replace(config, engine="scalar"), executor="serial"
+    )
+    print(f"serial scalar: {scalar.wall_seconds:7.2f}s")
     pool = run_dcn(config, executor="pool", jobs=workers)
     print(
         f"         pool: {pool.wall_seconds:7.2f}s on {workers} worker(s)"
     )
 
-    parity = serial.parity_signature() == pool.parity_signature()
+    parity = (
+        serial.parity_signature()
+        == pool.parity_signature()
+        == scalar.parity_signature()
+    )
     speedup = round(serial.wall_seconds / pool.wall_seconds, 2)
     # The gate actually applied: min(effective_cores, n_wafers) / 2 —
     # NOT the raw cores/2 ratio. Keep the derivation in the report so
@@ -103,6 +118,7 @@ def run_bench(
         "cpu_count": os.cpu_count(),
         "effective_cores": cores,
         "serial_seconds": serial.wall_seconds,
+        "scalar_serial_seconds": scalar.wall_seconds,
         "pool_seconds": pool.wall_seconds,
         "pool_speedup": speedup,
         "epochs": serial.epochs,
@@ -114,6 +130,9 @@ def run_bench(
         "partition_gate": {
             "threshold": threshold,
             "passed": speedup >= threshold,
+        },
+        "engine_gate": {
+            "passed": serial.wall_seconds < scalar.wall_seconds,
         },
     }
 
@@ -159,9 +178,18 @@ def main() -> int:
         f"{'pass' if gate['passed'] else 'FAIL'}), "
         f"parity: {report['parity']}"
     )
+    engine_gate = report["engine_gate"]["passed"]
+    print(
+        f"serial {report['engine']} {report['serial_seconds']:.3f}s vs "
+        f"serial scalar {report['scalar_serial_seconds']:.3f}s (gate: "
+        f"faster than scalar: {'pass' if engine_gate else 'FAIL'})"
+    )
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {ARTIFACT_PATH}")
-    ok = report["parity"] and gate["passed"] and not report["truncated"]
+    ok = (
+        report["parity"] and gate["passed"] and engine_gate
+        and not report["truncated"]
+    )
     return 0 if ok else 1
 
 
@@ -183,6 +211,7 @@ def test_dcn_bench_smoke():
     assert not report["truncated"]
     assert report["packets_delivered"] > 0
     assert 0 < report["partition_gate"]["threshold"] <= report["config"]["n_wafers"] / 2
+    assert report["scalar_serial_seconds"] > 0
 
 
 if __name__ == "__main__":

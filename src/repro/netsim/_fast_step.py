@@ -6,8 +6,8 @@ tens of rows: numpy's per-call overhead (~1-2us x ~150 calls/cycle)
 dominates and caps the speedup near 2x. This module compiles the same
 per-cycle semantics into a small C kernel that walks the *same* SoA
 buffers in place, which removes the interpreter from the hot loop
-entirely (the driver calls into C once per warmup/measure/drain span,
-not per cycle).
+entirely (a batch run calls into C once per warmup/measure/drain span,
+a wafer partition once per epoch — never per cycle).
 
 Design constraints:
 
@@ -124,6 +124,7 @@ typedef struct {
 } FastState;
 
 int64_t fast_run(FastState *s, int64_t mode, int64_t limit);
+int64_t fast_advance(FastState *s, int64_t to_cycle);
 int64_t pregen_uniform(uint32_t *mt, int64_t *mti_io, int64_t total,
                        int64_t T, double probability,
                        int64_t n_terminals, int64_t *ev_when,
@@ -610,6 +611,36 @@ int64_t fast_run(FastState *s, int64_t mode, int64_t limit) {
     }
     for (int64_t k = 0; k < limit; k++) {
         if (s->inflight == 0) return 1;
+        int64_t rc = do_step(s);
+        if (rc) return rc;
+    }
+    return 0;
+}
+
+static int quiescent(const FastState *s) {
+    /* Nothing in flight, routing, allocating or in transit (credits
+       included): every cycle until the next offer is a no-op. */
+    if (s->inflight || s->n_active || s->stall_cnt) return 0;
+    for (int64_t ci = 0; ci < s->n_cls; ci++)
+        if (s->cls_head[ci] != s->cls_tail[ci]) return 0;
+    for (int64_t w = 0; w < s->W; w++)
+        if (s->bk_cnt[w]) return 0;
+    return 1;
+}
+
+int64_t fast_advance(FastState *s, int64_t to_cycle) {
+    /* Resumable run-to-cycle: offer and step until s->cycle reaches
+       `to_cycle`, jumping quiescent stretches straight to the next
+       offer (or the target). Events appended between calls (n_ev
+       grown) are picked up where the last call stopped. */
+    while (s->cycle < to_cycle) {
+        offers(s, s->cycle);
+        if (quiescent(s)) {
+            int64_t next = s->ev_index < s->n_ev
+                ? s->ev_when[s->ev_index] : to_cycle;
+            s->cycle = next < to_cycle ? next : to_cycle;
+            continue;
+        }
         int64_t rc = do_step(s);
         if (rc) return rc;
     }

@@ -185,21 +185,18 @@ class FastEngine:
                 raise _Incompatible("router has in-flight state")
         if V > _MAX_VCS:
             raise _Incompatible("too many VCs for the bitmask allocator")
+        self.use_c = use_c
+        self.P = P
         # Telemetry is instrumented only in the compiled kernel (the
         # numpy step loop carries no counters); without it the run
         # falls back to the scalar object engine, which *is* the
-        # instrumented implementation. The gate must mirror
-        # :meth:`_c_build`'s own bail-outs exactly.
-        if telemetry is not None and (
-            not use_c or _fast_step.load_kernel() is None or P > 64
-        ):
+        # instrumented implementation.
+        if telemetry is not None and self.c_kernel() is None:
             raise _Incompatible("telemetry requires the compiled kernel")
         self.telemetry = telemetry
-        self.use_c = use_c
 
         self.network = network
         self.R = R = len(routers)
-        self.P = P
         self.V = V
         self.CAP = CAP
         self.T = T = len(terminals)
@@ -938,6 +935,18 @@ class FastEngine:
 
     _C_KIND = {"rf": 0, "tf": 1, "inj": 2, "rc": 3, "tc": 4}
 
+    def c_kernel(self):
+        """``(ffi, lib)`` when the compiled kernel steps this network.
+
+        ``None`` when the engine was asked for the numpy loop, no C
+        toolchain is available, or a router has more ports than the
+        kernel's 64-bit port masks hold. The one eligibility test behind
+        the telemetry gate, :meth:`_c_build` and the wafer partitions.
+        """
+        if not self.use_c or self.P > 64:
+            return None
+        return _fast_step.load_kernel()
+
     def _c_pregen(self, injector, total: int):
         """Pre-generate the Bernoulli stream in C, or ``None``.
 
@@ -998,8 +1007,8 @@ class FastEngine:
         (event rings, RC buckets, pending lists, the delivery log) are
         allocated here and exported back by :meth:`_c_export`.
         """
-        kernel = _fast_step.load_kernel() if self.use_c else None
-        if kernel is None or self.P > 64:
+        kernel = self.c_kernel()
+        if kernel is None:
             return None
         ffi, lib = kernel
         st = ffi.new("FastState *")

@@ -9,13 +9,21 @@ advances to a target cycle, keeping all state resident between calls —
 because the next epoch's injections depend on what every other wafer
 delivered during this one.
 
-:class:`WaferPartition` wraps one pristine network in exactly that
-driver, on either engine:
+:class:`WaferPartition` is that live engine for one pristine
+network. It steps on one of three engines (``engine_name`` says
+which):
 
-* the vectorized :class:`~repro.netsim.fast_core.FastEngine` (numpy
-  step loop) when the network compiles, or
-* the scalar object simulator otherwise (``REPRO_SCALAR_NETSIM=1``
-  keeps the usual oracle escape hatch).
+* ``"c"`` — the compiled kernel of :mod:`repro.netsim._fast_step`.
+  One kernel state block stays resident across ``advance()`` calls;
+  ``enqueue()`` appends to its event and packet tables and
+  ``advance()`` calls the resumable ``fast_advance`` entry once;
+* ``"numpy"`` — the vectorized
+  :class:`~repro.netsim.fast_core.FastEngine` step loop, when the
+  kernel declines (routers beyond 64 ports, no C toolchain,
+  ``engine="numpy"``);
+* ``"scalar"`` — the object simulator, when the network does not
+  compile (``REPRO_SCALAR_NETSIM=1`` keeps the usual oracle escape
+  hatch).
 
 Packet ids are **partition-local** and assigned here, in deterministic
 offer order (events are consumed sorted by ``(cycle, source terminal,
@@ -26,17 +34,17 @@ across spines/channels, so the id sequence each wafer sees must depend
 only on that wafer's injection history, never on how many other
 partitions share the process.
 
-Both engines produce identical deliveries for identical event streams
+All engines produce identical deliveries for identical event streams
 (the differential harness pins them to each other); ``advance`` sorts
-its delivery report by ``(arrival cycle, terminal, tag)`` so the two
-engines return byte-identical bundles.
+its delivery report by ``(arrival cycle, terminal, tag)`` so they
+return byte-identical bundles.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +59,20 @@ from repro.netsim.packet import Packet
 #: is echoed back in the delivery report.
 Event = Tuple[int, int, int, int, int]
 
+#: Per-packet columns of the engine's packet store (indexed by the
+#: partition-local packet id) and their fill for unused slots.
+_PACKET_COLUMNS = (
+    ("pk_dst", 0), ("pk_size", 0), ("pk_inject", -1), ("pk_arrive", -1),
+)
+
+#: Kernel-side per-event columns (event index == packet id): offer
+#: schedule, per-terminal pending links, and the delivery log, which
+#: holds at most one entry per packet between two harvests.
+_EVENT_COLUMNS = (
+    ("ev_when", 0), ("ev_term", 0), ("pend_next", -1),
+    ("log_term", 0), ("log_pidx", 0),
+)
+
 
 class WaferPartition:
     """One wafer's network, steppable in externally bounded epochs."""
@@ -59,14 +81,24 @@ class WaferPartition:
         resolved = resolve_netsim_engine(engine)
         self.engine = fast_core.engine_for(network, None, engine=resolved)
         self.network = network
-        self.engine_name = "scalar" if self.engine is None else resolved
         self._sched: deque = deque()
-        self._tags: List[int] = []
+        self._last: Optional[Event] = None
         self._next_gid = 0
+        self._delivered_packets = 0
         self.offered_flits = 0
         self.offered_packets = 0
+        #: Kernel state block ``(ffi, lib, st, aux)`` when the compiled
+        #: kernel steps this partition, resident across ``advance``.
+        self._c = None
         if self.engine is None:
+            self.engine_name = "scalar"
+            self._tags: List[int] = []
             self._recv_cursor = [0] * network.n_terminals
+        else:
+            empty = np.zeros(0, dtype=np.int64)
+            self._c = self.engine._c_build(empty, empty)
+            self.engine_name = "numpy" if self._c is None else "c"
+            self._pk_tag = empty
 
     # -- caller surface -------------------------------------------------
 
@@ -86,9 +118,18 @@ class WaferPartition:
         Events must arrive sorted (plain tuple order) and never in the
         partition's past — the epoch barrier guarantees both, and the
         determinism of the local packet-id sequence depends on it.
+        Terminals must exist and packets hold at least one flit: the
+        compiled kernel indexes its arrays with them unchecked.
         """
         if not events:
             return
+        table = np.array(events, dtype=np.int64)
+        n = self.network.n_terminals
+        ends = table[:, 1:3]
+        if ((ends < 0) | (ends >= n)).any() or (table[:, 3] < 1).any():
+            raise ValueError(
+                f"events need terminals in [0, {n}) and sizes >= 1"
+            )
         if events[0][0] < self.cycle:
             raise ValueError(
                 f"event {events[0]} scheduled before cycle {self.cycle}"
@@ -96,9 +137,27 @@ class WaferPartition:
         for earlier, later in zip(events, events[1:]):
             if later < earlier:
                 raise ValueError(f"events not sorted at {later}")
-        if self._sched and events[0] < self._sched[-1]:
+        if self._last is not None and events[0] < self._last:
             raise ValueError("events overlap previously enqueued schedule")
-        self._sched.extend(events)
+        self._last = events[-1]
+        if self._c is None:
+            self._sched.extend(events)
+            return
+        # Kernel path: packet ids are event indexes (``pk_base`` 0), so
+        # appending to the kernel's event table assigns them in offer
+        # order, exactly as the other engines' offer loops do.
+        engine = self.engine
+        first = self._next_gid
+        self._next_gid = last = first + len(events)
+        self._grow(last)
+        when, term, dst, size, tag = table.T
+        _, _, st, aux = self._c
+        aux["ev_when"][first:last] = when
+        aux["ev_term"][first:last] = term
+        engine.pk_dst[first:last] = dst
+        engine.pk_size[first:last] = size
+        self._pk_tag[first:last] = tag
+        st.n_ev = last
 
     def advance(self, to_cycle: int):
         """Run to ``to_cycle``; return the epoch's delivery bundle.
@@ -113,9 +172,12 @@ class WaferPartition:
         if self.engine is None:
             self._advance_scalar(to_cycle)
             terms, tags, arrives = self._harvest_scalar()
-        else:
+        elif self._c is None:
             self._advance_fast(to_cycle)
             terms, tags, arrives = self._harvest_fast()
+        else:
+            self._advance_c(to_cycle)
+            terms, tags, arrives = self._harvest_c()
         if terms.size > 1:
             order = np.lexsort((tags, terms, arrives))
             terms, tags, arrives = terms[order], tags[order], arrives[order]
@@ -132,7 +194,7 @@ class WaferPartition:
             )
         else:
             delivered_flits = int(self.engine.delivered_total)
-            delivered_packets = self._delivered_packets_fast
+            delivered_packets = self._delivered_packets
         return {
             "inflight": self.inflight_flits,
             "offered_flits": self.offered_flits,
@@ -141,42 +203,77 @@ class WaferPartition:
             "delivered_packets": delivered_packets,
         }
 
-    # -- fast (vectorized) path ----------------------------------------
+    # -- vectorized engine: packet store shared by both step paths ------
 
-    _delivered_packets_fast = 0
-
-    def _grow_fast(self, need: int) -> None:
-        engine = self.engine
-        capacity = engine.pk_dst.size
+    def _grow(self, need: int) -> None:
+        """Make room for ``need`` packets (amortised doubling)."""
+        capacity = self._pk_tag.size
         if need <= capacity:
             return
         new_cap = max(256, capacity * 2, need)
-        for name, fill in (
-            ("pk_src", 0), ("pk_dst", 0), ("pk_size", 0),
-            ("pk_create", 0), ("pk_inject", -1), ("pk_arrive", -1),
-        ):
-            old = getattr(engine, name)
-            grown = np.full(new_cap, fill, dtype=np.int64)
-            grown[:old.size] = old
-            setattr(engine, name, grown)
 
-    def _offer_fast(self, event: Event) -> int:
+        def grown(old, fill):
+            arr = np.full(new_cap, fill, dtype=np.int64)
+            arr[:old.size] = old
+            return arr
+
+        engine = self.engine
+        self._pk_tag = grown(self._pk_tag, 0)
+        for name, fill in _PACKET_COLUMNS:
+            setattr(engine, name, grown(getattr(engine, name), fill))
+        if self._c is None:
+            return
+        ffi, _, st, aux = self._c
+        for name, fill in _EVENT_COLUMNS:
+            aux[name] = grown(aux[name], fill)
+        # The kernel holds raw pointers into these buffers: re-point
+        # every grown array here, and only here.
+        arrays = [(name, aux[name]) for name, _ in _EVENT_COLUMNS]
+        arrays += [(name, getattr(engine, name)) for name, _ in _PACKET_COLUMNS]
+        for name, arr in arrays:
+            setattr(st, name, ffi.cast("int64_t *", arr.ctypes.data))
+
+    def _bundle(self, terms: np.ndarray, gids: np.ndarray):
+        self._delivered_packets += int(gids.size)
+        return terms, self._pk_tag[gids], self.engine.pk_arrive[gids]
+
+    # -- compiled kernel path -------------------------------------------
+
+    def _advance_c(self, to_cycle: int) -> None:
+        engine = self.engine
+        _, lib, st, _ = self._c
+        first = int(st.ev_index)
+        rc = lib.fast_advance(st, to_cycle)
+        engine.cycle = int(st.cycle)
+        engine.inflight = int(st.inflight)
+        engine.delivered_total = int(st.delivered_total)
+        engine._c_check(rc, st)
+        last = int(st.ev_index)
+        self.offered_packets += last - first
+        self.offered_flits += int(engine.pk_size[first:last].sum())
+
+    def _harvest_c(self):
+        _, _, st, aux = self._c
+        n = int(st.log_count)
+        st.log_count = 0
+        return self._bundle(
+            aux["log_term"][:n].copy(), aux["log_pidx"][:n].copy()
+        )
+
+    # -- numpy step-loop path (routers beyond 64 ports, no compiler) ----
+
+    def _offer_fast(self, event: Event) -> None:
         cycle, src, dst, size, tag = event
         engine = self.engine
         gid = self._next_gid
         self._next_gid += 1
-        self._grow_fast(self._next_gid)
-        engine.pk_src[gid] = src
+        self._grow(self._next_gid)
         engine.pk_dst[gid] = dst
         engine.pk_size[gid] = size
-        engine.pk_create[gid] = cycle
-        engine.pk_inject[gid] = -1
-        engine.pk_arrive[gid] = -1
-        self._tags.append(tag)
+        self._pk_tag[gid] = tag
         self.offered_flits += size
         self.offered_packets += 1
         engine._offer(src, gid, size)
-        return gid
 
     def _fast_idle(self) -> bool:
         engine = self.engine
@@ -208,20 +305,16 @@ class WaferPartition:
             step()
 
     def _harvest_fast(self):
-        engine = self.engine
-        log = engine._deliv_log
+        log = self.engine._deliv_log
         if not log:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty
         terms = np.concatenate([t for t, _ in log])
         gids = np.concatenate([p for _, p in log])
-        arrives = engine.pk_arrive[gids]
-        tags = np.asarray(self._tags, dtype=np.int64)[gids]
-        self._delivered_packets_fast += int(gids.size)
         # The log only feeds this harvest; drop consumed entries so an
         # arbitrarily long run holds O(in-flight) state, not O(total).
         log.clear()
-        return terms, tags, arrives
+        return self._bundle(terms, gids)
 
     # -- scalar (object oracle) path -----------------------------------
 

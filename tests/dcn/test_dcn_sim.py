@@ -110,6 +110,34 @@ def test_failed_link_run_conserves_flits():
     assert again.parity_signature() == result.parity_signature()
 
 
+@pytest.mark.parametrize("failures", [
+    None,
+    FailureConfig(seed=12, ssc_area_mm2=400.0, link_failure_prob=0.2),
+])
+def test_c_partitions_pool_matches_serial_and_numpy(failures):
+    import dataclasses
+
+    from repro.engines import resolve_netsim_engine
+    from repro.netsim._fast_step import load_kernel
+
+    config = dataclasses.replace(SPINED, engine="c", failures=failures)
+    serial = run_dcn(config, executor="serial")
+    try:
+        pool = run_dcn(config, executor="pool", jobs=2)
+    finally:
+        shutdown_shared_executor()
+    if failures is not None:  # SSC slices and links both die
+        assert serial.dead_sscs > 0 and serial.dead_links > 0
+    kernel = resolve_netsim_engine("c") == "c" and load_kernel() is not None
+    if kernel:
+        assert serial.engine == pool.engine == "c"
+    assert serial.parity_signature() == pool.parity_signature()
+    numpy_run = run_dcn(
+        dataclasses.replace(config, engine="numpy"), executor="serial"
+    )
+    assert numpy_run.parity_signature() == serial.parity_signature()
+
+
 def test_bad_lookahead_rejected():
     import dataclasses
 

@@ -180,6 +180,14 @@ def test_curve_cache_roundtrip(tmp_path):
     assert again == first
 
 
+def test_calibration_is_engine_independent():
+    curves = [
+        calibrate_wafer(8, 8, engine=engine, cache=False)
+        for engine in ("c", "numpy", "scalar")
+    ]
+    assert curves[0] == curves[1] == curves[2]
+
+
 def test_concurrent_calibrations_publish_whole_curves(tmp_path, monkeypatch):
     """Writers of one shape that finish together (two server workers on a
     fresh cache) must each publish a whole entry and never fail."""

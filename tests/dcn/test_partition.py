@@ -1,10 +1,18 @@
 """WaferPartition: epoch-driven stepping, engine parity, conservation."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.engines import resolve_netsim_engine
+from repro.netsim._fast_step import load_kernel
 from repro.netsim.network import waferscale_clos_network
 from repro.netsim.partition import WaferPartition
+from tests.netsim.golden_scenarios import FAILURE_SCENARIOS
+
+#: Every engine a partition can be asked for.
+ENGINES = ("c", "numpy", "scalar")
 
 
 def _network():
@@ -14,8 +22,6 @@ def _network():
 
 
 def _workload(duration=64, seed=9, n=16):
-    import random
-
     rng = random.Random(seed)
     events = []
     tag = 100
@@ -29,12 +35,40 @@ def _workload(duration=64, seed=9, n=16):
     return events
 
 
-def _drain(partition, events, epoch=16, deadline=5000):
-    """Feed ``events`` epoch by epoch and run until in-flight hits 0."""
+def _bursty_workload(bursts=4, burst_cycles=120, gap=1500, seed=21, n=16):
+    """Mixed-size bursts above the wafer's capacity, separated by idle
+    gaps well over 1000 cycles; ~1150 packets in all."""
+    rng = random.Random(seed)
+    events = []
+    for burst in range(bursts):
+        start = burst * (burst_cycles + gap)
+        for cycle in range(start, start + burst_cycles):
+            for src in range(n):
+                if rng.random() < 0.15:
+                    dst = (src + rng.randrange(1, n)) % n
+                    size = rng.choice((1, 2, 5, 8))
+                    events.append((cycle, src, dst, size, len(events)))
+    events.sort()
+    return events
+
+
+def _drain(
+    partition, events, epoch=16, deadline=20_000, trace=None, upfront=False
+):
+    """Feed ``events`` epoch by epoch and run until in-flight hits 0.
+
+    ``trace``, if a list, receives each epoch's bundle as bytes plus
+    its counters — what engine parity compares.  ``upfront`` enqueues
+    the whole schedule before the first epoch instead.
+    """
     bundles = []
     cursor = 0
     end = 0
-    while cursor < len(events) or partition.inflight_flits:
+    if upfront:
+        partition.enqueue(events)
+        cursor = len(events)
+    last = events[-1][0] if events else -1
+    while end <= last or partition.inflight_flits:
         end += epoch
         assert end < deadline, "partition failed to drain"
         batch = []
@@ -44,6 +78,10 @@ def _drain(partition, events, epoch=16, deadline=5000):
         partition.enqueue(batch)
         terms, tags, arrives, counters = partition.advance(end)
         bundles.append((terms, tags, arrives))
+        if trace is not None:
+            trace.append((
+                terms.tobytes(), tags.tobytes(), arrives.tobytes(), counters
+            ))
     return bundles, counters
 
 
@@ -58,6 +96,20 @@ def test_enqueue_rejects_bad_schedules():
     partition.enqueue([(30, 0, 5, 4, 6)])
     with pytest.raises(ValueError):
         partition.enqueue([(25, 1, 6, 4, 7)])  # behind prior schedule
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("event", [
+    (0, 16, 5, 4, 1),   # no such source terminal
+    (0, 0, -1, 4, 1),   # no such destination
+    (0, 0, 5, 0, 1),    # empty packet
+])
+def test_enqueue_rejects_events_outside_the_wafer(engine, event):
+    partition = WaferPartition(_network(), engine=engine)
+    with pytest.raises(ValueError):
+        partition.enqueue([event])
+    _, counters = _drain(partition, [(0, 0, 5, 4, 1)])  # still usable
+    assert counters["delivered_packets"] == 1
 
 
 def test_delivery_bundle_echoes_tags_sorted():
@@ -97,6 +149,9 @@ def test_epoch_length_does_not_change_deliveries(epoch):
     assert flat(reference) == flat(probe)
 
 
+@pytest.mark.skipif(
+    resolve_netsim_engine("numpy") == "scalar", reason="scalar engine forced"
+)
 def test_scalar_and_fast_engines_agree():
     fast = WaferPartition(_network(), engine="numpy")
     scalar = WaferPartition(_network(), engine="scalar")
@@ -111,3 +166,115 @@ def test_scalar_and_fast_engines_agree():
         assert fg.tolist() == sg.tolist()
         assert fa.tolist() == sa.tolist()
     assert fast_counters == scalar_counters
+
+
+def _kernel_in_use():
+    return resolve_netsim_engine("c") == "c" and load_kernel() is not None
+
+
+@pytest.mark.parametrize("upfront", [False, True])
+@pytest.mark.parametrize("epoch", [1, 4, 16, 128])
+def test_c_numpy_scalar_bundles_are_byte_identical(epoch, upfront):
+    events = _bursty_workload()
+    runs = {engine: [] for engine in ENGINES}
+    for engine, trace in runs.items():
+        _drain(
+            WaferPartition(_network(), engine=engine), events, epoch=epoch,
+            trace=trace, upfront=upfront,
+        )
+    assert runs["c"] == runs["numpy"] == runs["scalar"]
+    assert runs["c"][-1][3]["delivered_packets"] == len(events)
+
+
+def test_kernel_tables_regrow_mid_run():
+    partition = WaferPartition(_network(), engine="c")
+    if partition.engine_name != "c":
+        pytest.skip("compiled kernel not available")
+    capacities = []
+    grow = partition._grow
+
+    def watched(need):
+        grow(need)
+        capacities.append(partition._pk_tag.size)
+
+    partition._grow = watched
+    events = _bursty_workload()
+    bundles, counters = _drain(partition, events)
+    assert len(set(capacities)) >= 3  # first allocation + two regrowths
+    reference, scalar_counters = _drain(
+        WaferPartition(_network(), engine="scalar"), events
+    )
+    assert counters == scalar_counters
+    for got, want in zip(bundles, reference):
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+
+@pytest.mark.skipif(not _kernel_in_use(), reason="compiled kernel not in use")
+def test_engine_label_names_the_stepping_engine():
+    assert WaferPartition(_network(), engine="c").engine_name == "c"
+    assert WaferPartition(_network(), engine="numpy").engine_name == "numpy"
+
+
+@pytest.mark.skipif(
+    resolve_netsim_engine("c") == "scalar", reason="scalar engine forced"
+)
+def test_routers_beyond_64_ports_run_on_numpy_and_say_so():
+    network = waferscale_clos_network(256, 128)
+    partition = WaferPartition(network, engine="c")
+    assert partition.engine.P > 64
+    assert partition.engine_name == "numpy"
+    events = sorted(
+        (cycle, src, (src + 37) % 256, 4, cycle * 256 + src)
+        for cycle in range(0, 20, 5)
+        for src in range(0, 256, 16)
+    )
+    _, counters = _drain(partition, events)
+    assert counters["delivered_packets"] == len(events)
+    assert counters["delivered_flits"] == counters["offered_flits"]
+
+
+def test_kernel_error_matches_numpy_error_text():
+    """A credit-protocol violation inside a partition surfaces the
+    numpy loop's exact AssertionError, whichever engine steps it."""
+    factory = FAILURE_SCENARIOS["overcredited_link"][0]
+    n = factory().n_terminals
+    rng = random.Random(19)
+    events = [
+        (cycle, src, (src + rng.randrange(1, n)) % n, 4, cycle * n + src)
+        for cycle in range(400)
+        for src in range(n)
+        if rng.random() < 0.9 / 4
+    ]
+    messages = {}
+    for engine in ENGINES:
+        with pytest.raises(AssertionError) as info:
+            _drain(WaferPartition(factory(), engine=engine), events)
+        messages[engine] = str(info.value)
+    assert "buffer overflow (credit protocol violated)" in messages["c"]
+    assert messages["c"] == messages["numpy"] == messages["scalar"]
+
+
+def _slow_credit_network():
+    """Credits take 50 cycles to return, flits far fewer: a wafer can
+    deliver its last flit while credits are still on the wire."""
+    network = _network()
+    for channel, _, _ in network._credit_sinks:
+        channel.latency = 50
+    return network
+
+
+def test_idle_jump_waits_for_credits_in_transit():
+    events = sorted(
+        (start + offset, src, (src + 5) % 16, 4, start * 16 + offset * 16 + src)
+        for start in (0, 400, 800)
+        for offset in range(6)
+        for src in range(16)
+    )
+    runs = {engine: [] for engine in ENGINES}
+    for engine, trace in runs.items():
+        _drain(
+            WaferPartition(_slow_credit_network(), engine=engine),
+            events, epoch=64, trace=trace,
+        )
+    assert runs["c"] == runs["numpy"] == runs["scalar"]
+    assert runs["c"][-1][3]["delivered_packets"] == len(events)
